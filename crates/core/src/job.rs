@@ -33,7 +33,6 @@ use std::time::{Duration, Instant};
 use walshcheck_circuit::glitch::ProbeModel;
 use walshcheck_circuit::ilang::write_ilang;
 use walshcheck_circuit::netlist::Netlist;
-use walshcheck_dd::backend::Backend;
 use walshcheck_dd::var::VarId;
 
 use crate::checkpoint::{self, CheckpointConfig, ResumeState};
@@ -56,7 +55,7 @@ use crate::scheduler::{self, SetupTimings};
 pub struct JobSpec {
     /// The property to check.
     pub property: Property,
-    /// Engine options (backend, mode, sites, prefilter, budgets, cache).
+    /// Engine options (engine, mode, sites, prefilter, budgets, cache).
     pub options: VerifyOptions,
     /// Worker threads (results are independent of this; clamped to ≥ 1).
     pub threads: usize,
@@ -117,13 +116,10 @@ impl JobSpec {
                 ("budget_bytes", Json::Int(self.options.cache_budget as i64)),
             ]),
         );
-        // The DD backend is configuration, not identity: report artifacts
-        // are byte-identical across backends (DESIGN.md §14), so results
-        // are shared across submissions that differ only here.
-        obj.insert("backend".into(), Json::str(self.options.backend.as_str()));
-        // Same for the PR-10 speed knobs: the dense spectral kernels are
-        // exact (DESIGN.md §17) and auto-sift screening re-derives every
-        // violation in the original order, so neither can change a result.
+        // The speed knobs are configuration, not identity: the dense
+        // spectral kernels are exact (DESIGN.md §17) and auto-sift
+        // screening re-derives every violation in the original order, so
+        // neither can change a result.
         obj.insert(
             "dense_cut".into(),
             Json::Int(i64::from(self.options.dense_cut)),
@@ -180,7 +176,7 @@ impl JobSpec {
         map.insert("prefilter".into(), Json::Bool(o.prefilter));
         map.insert("largest_first".into(), Json::Bool(o.largest_first));
         // Pre-sifting changes which combinations fit a node budget, so it
-        // is identity-relevant (unlike the verdict-neutral backend knob).
+        // is identity-relevant (unlike the verdict-neutral speed knobs).
         map.insert("presift".into(), Json::Bool(o.presift));
         map.insert(
             "time_limit_ms".into(),
@@ -286,11 +282,8 @@ impl JobSpec {
             o.sift = crate::engine::SiftMode::parse(name)
                 .ok_or_else(|| bad(&format!("unknown sift mode {name:?}")))?;
         }
-        if let Some(v) = doc.get("backend") {
-            let name = v.as_str().ok_or_else(|| bad("backend must be a string"))?;
-            o.backend =
-                Backend::parse(name).ok_or_else(|| bad(&format!("unknown backend {name:?}")))?;
-        }
+        // A 0.3 spec's `backend` key (the retired DD store selection) is
+        // ignored like any other unknown key.
         match doc.get("time_limit_ms") {
             None | Some(Json::Null) => {}
             Some(v) => {
@@ -586,23 +579,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_ignores_backend_but_not_presift() {
+    fn identity_includes_presift() {
         let a = spec();
-        let mut b = spec();
-        b.options.backend = Backend::Shared;
-        assert_eq!(
-            a.identity_hash(),
-            b.identity_hash(),
-            "backend is a speed knob, not a result identity"
-        );
-        assert_ne!(
-            a.to_json().to_canonical(),
-            b.to_json().to_canonical(),
-            "the full form still records the backend"
-        );
-        let round = JobSpec::parse(&json::parse(&b.to_json().to_canonical()).expect("valid"))
-            .expect("parses");
-        assert_eq!(round.options.backend, Backend::Shared);
         let mut c = spec();
         c.options.presift = true;
         assert_ne!(

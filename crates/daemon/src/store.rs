@@ -384,6 +384,40 @@ mod tests {
     }
 
     #[test]
+    fn legacy_backend_key_keeps_the_identity_and_job_id() {
+        // Specs stored by 0.3 daemons carry a `"backend"` key naming the
+        // since-removed DD store. It must parse like any unknown key, so a
+        // reopened store finds each job under its old id instead of
+        // quarantining it.
+        use walshcheck_core::json::{self, Json};
+        use walshcheck_core::{JobSpec, Property};
+        let mut spec = JobSpec::new(Property::Sni(2));
+        spec.threads = 4;
+        let Json::Obj(fields) = spec.to_json() else {
+            panic!("a spec serializes to an object");
+        };
+        let netlist_sha = "ab".repeat(32);
+        let identity = spec.identity_json().to_canonical();
+        let id = job_id(&netlist_sha, &identity);
+        for backend in ["shared", "private"] {
+            let mut legacy = fields.clone();
+            legacy.insert("backend".into(), Json::str(backend));
+            let text = Json::Obj(legacy).to_canonical();
+            let parsed = JobSpec::parse(&json::parse(&text).expect("valid json"))
+                .expect("a 0.3 spec still parses");
+            let parsed_identity = parsed.identity_json().to_canonical();
+            assert_eq!(parsed_identity, identity, "backend={backend}");
+            assert_eq!(parsed.identity_hash(), spec.identity_hash());
+            assert_eq!(job_id(&netlist_sha, &parsed_identity), id);
+            assert_eq!(
+                parsed.to_json().to_canonical(),
+                spec.to_json().to_canonical(),
+                "the key is dropped, not carried along"
+            );
+        }
+    }
+
+    #[test]
     fn files_round_trip_and_events_append() {
         let store = temp_store("rt");
         store.create_job("cafe").expect("create");

@@ -1,269 +1,16 @@
-//! Backend selection for the DD kernel: private per-caller managers versus
-//! one concurrent store shared by every manager a backend creates.
+//! The name of the retired DD-backend environment variable.
 //!
-//! The verifier's engines are generic over a [`DdBackend`], a sealed
-//! factory trait with exactly two implementations:
-//!
-//! * [`Private`] — each [`crate::add::AddManager`] / [`crate::bdd::BddManager`]
-//!   owns its arena, unique tables and apply caches (the PR 5 kernel and
-//!   the default). Zero synchronization, zero sharing.
-//! * [`Shared`] — managers created from one `Shared` value intern nodes
-//!   into a single concurrent store ([`crate::shared`], DESIGN.md §14), so
-//!   scheduler workers reuse each other's structure and apply results
-//!   instead of rebuilding them per worker.
-//!
-//! The backend is a *speed knob*, never a result knob: handles are
-//! canonical within a store under both backends, so verdicts, witnesses
-//! and reports are byte-identical across backends and thread counts (the
-//! determinism suite enforces this). Accordingly the backend is excluded
-//! from job identity hashing, and is selectable per run via
-//! `Session::dd_backend`, `--dd-backend`, or the `WALSHCHECK_DD_BACKEND`
-//! environment variable.
-//!
-//! Construction-time knobs (apply-cache sizing, node budgets) travel
-//! through [`DdConfig`] so accounting stays behind the trait rather than
-//! leaking manager internals to every call site.
+//! In 0.3 a run could intern its nodes into one store shared by every
+//! scheduler worker. That backend was removed (DESIGN.md §14): every
+//! [`crate::add::AddManager`] and [`crate::bdd::BddManager`] now owns its
+//! store outright. Only the variable's name is kept, so tools that clear it
+//! from their environment keep building.
 
-use std::fmt;
-use std::sync::Arc;
-
-use crate::add::AddManager;
-use crate::bdd::BddManager;
-use crate::dyadic::Dyadic;
-use crate::shared::{SharedAddStore, SharedBddStore};
-
-/// Which node-store implementation a run uses. See the module docs; this
-/// is the serializable name of a [`DdBackend`] implementation, carried in
-/// options, CLI flags and the (non-hashed) run section of reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Per-manager arenas and caches; no cross-thread sharing (default).
-    #[default]
-    Private,
-    /// One concurrent arena, unique table and apply cache per run, shared
-    /// by all workers.
-    Shared,
-}
+/// Namespace of the retired backend selection.
+pub enum Backend {}
 
 impl Backend {
-    /// Environment variable consulted by [`Backend::from_env`]; the
-    /// process-wide default backend for runs that don't set one explicitly
-    /// (CLI without `--dd-backend`, daemon submissions, test suites).
+    /// The environment variable that once selected the DD backend
+    /// (`WALSHCHECK_DD_BACKEND`). Nothing reads it any more.
     pub const ENV_VAR: &'static str = "WALSHCHECK_DD_BACKEND";
-
-    /// The canonical lowercase name (`"private"` / `"shared"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Backend::Private => "private",
-            Backend::Shared => "shared",
-        }
-    }
-
-    /// Parses a canonical name; `None` for anything else.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "private" => Some(Backend::Private),
-            "shared" => Some(Backend::Shared),
-            _ => None,
-        }
-    }
-
-    /// The default backend for this process: `WALSHCHECK_DD_BACKEND` if set
-    /// to a valid name, otherwise [`Backend::Private`].
-    pub fn from_env() -> Backend {
-        std::env::var(Self::ENV_VAR)
-            .ok()
-            .and_then(|v| Backend::parse(&v))
-            .unwrap_or(Backend::Private)
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Construction-time knobs a backend applies to the managers it builds.
-///
-/// Keeping these behind the factory (rather than having every call site
-/// poke `set_node_budget` / `set_apply_cache_limit` on fresh managers)
-/// lets the shared backend interpret them correctly: a shared store's
-/// caches are sized once at backend creation, while node budgets are
-/// per-manager — each worker accounts the nodes *it* created.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DdConfig {
-    /// Approximate binary apply-cache slot count for ADD managers (the
-    /// other caches scale proportionally). `None` keeps the defaults. On
-    /// the shared backend this is fixed at [`Shared::new`] time and this
-    /// field is ignored.
-    pub apply_cache_limit: Option<usize>,
-    /// Node-growth budget installed on each manager (see
-    /// [`crate::budget`]); `None` for unbounded.
-    pub node_budget: Option<usize>,
-}
-
-mod sealed {
-    /// Seals [`super::DdBackend`]: the two implementations in this module
-    /// are the complete set, so downstream code may match exhaustively on
-    /// [`super::Backend`].
-    pub trait Sealed {}
-    impl Sealed for super::Private {}
-    impl Sealed for super::Shared {}
-}
-
-/// Factory for the DD managers a verification run works with.
-///
-/// Sealed: [`Private`] and [`Shared`] are the only implementations. The
-/// trait is object-safe — engines hold a `&dyn DdBackend` and stay
-/// backend-generic.
-pub trait DdBackend: sealed::Sealed + fmt::Debug + Send + Sync {
-    /// The serializable name of this backend.
-    fn kind(&self) -> Backend;
-
-    /// A fresh ADD manager over `num_vars` variables, configured per `cfg`.
-    fn add_manager(&self, num_vars: u32, cfg: &DdConfig) -> AddManager<Dyadic>;
-
-    /// A fresh BDD manager over `num_vars` variables, configured per `cfg`.
-    fn bdd_manager(&self, num_vars: u32, cfg: &DdConfig) -> BddManager;
-}
-
-/// The default backend: every manager owns its store outright.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Private;
-
-impl DdBackend for Private {
-    fn kind(&self) -> Backend {
-        Backend::Private
-    }
-
-    fn add_manager(&self, num_vars: u32, cfg: &DdConfig) -> AddManager<Dyadic> {
-        let mut m = AddManager::new(num_vars);
-        if let Some(limit) = cfg.apply_cache_limit {
-            m.set_apply_cache_limit(limit);
-        }
-        m.set_node_budget(cfg.node_budget);
-        m
-    }
-
-    fn bdd_manager(&self, num_vars: u32, cfg: &DdConfig) -> BddManager {
-        let mut m = BddManager::new(num_vars);
-        m.set_node_budget(cfg.node_budget);
-        m
-    }
-}
-
-/// A concurrent store shared by every manager this backend creates.
-///
-/// Cloning is cheap (two `Arc`s) and clones share the same store —
-/// a scheduler creates one `Shared` per run and hands it to each worker.
-#[derive(Debug, Clone)]
-pub struct Shared {
-    adds: Arc<SharedAddStore<Dyadic>>,
-    bdds: Arc<SharedBddStore>,
-}
-
-impl Shared {
-    /// A fresh shared store. `apply_cache_limit` sizes the ADD apply
-    /// caches exactly like
-    /// [`crate::add::AddManager::set_apply_cache_limit`] would (the BDD
-    /// caches keep the manager defaults); `None` keeps the defaults. The
-    /// caches are allocated eagerly — a shared store is created once per
-    /// run, not per worker.
-    pub fn new(apply_cache_limit: Option<usize>) -> Self {
-        Shared {
-            adds: Arc::new(SharedAddStore::new(apply_cache_limit)),
-            bdds: Arc::new(SharedBddStore::new()),
-        }
-    }
-}
-
-impl DdBackend for Shared {
-    fn kind(&self) -> Backend {
-        Backend::Shared
-    }
-
-    fn add_manager(&self, num_vars: u32, cfg: &DdConfig) -> AddManager<Dyadic> {
-        let mut m = AddManager::with_shared(num_vars, Arc::clone(&self.adds));
-        m.set_node_budget(cfg.node_budget);
-        m
-    }
-
-    fn bdd_manager(&self, num_vars: u32, cfg: &DdConfig) -> BddManager {
-        let mut m = BddManager::with_shared(num_vars, Arc::clone(&self.bdds));
-        m.set_node_budget(cfg.node_budget);
-        m
-    }
-}
-
-/// Builds the runtime backend for `kind`. For [`Backend::Shared`] this
-/// creates the run's single shared store, sized by `apply_cache_limit`.
-pub fn runtime(kind: Backend, apply_cache_limit: Option<usize>) -> Box<dyn DdBackend> {
-    match kind {
-        Backend::Private => Box::new(Private),
-        Backend::Shared => Box::new(Shared::new(apply_cache_limit)),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::var::VarId;
-
-    #[test]
-    fn backend_names_round_trip() {
-        for b in [Backend::Private, Backend::Shared] {
-            assert_eq!(Backend::parse(b.as_str()), Some(b));
-            assert_eq!(b.to_string(), b.as_str());
-        }
-        assert_eq!(Backend::parse("bogus"), None);
-        assert_eq!(Backend::default(), Backend::Private);
-    }
-
-    #[test]
-    fn factories_apply_the_config() {
-        let cfg = DdConfig {
-            apply_cache_limit: Some(1 << 10),
-            node_budget: Some(4),
-        };
-        for backend in [&Private as &dyn DdBackend, &Shared::new(Some(1 << 10))] {
-            let mut m = backend.add_manager(3, &cfg);
-            assert_eq!(m.num_vars(), 3);
-            // The budget must trip after ~4 fresh nodes.
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for v in (0..3u32).rev() {
-                    let acc = m.indicator(VarId(v), Dyadic::from_int(v as i64 + 2), Dyadic::ZERO);
-                    let one = m.constant(Dyadic::from_int(-7));
-                    let _ = m.mk(VarId(0), one, acc);
-                }
-                for i in 0..100 {
-                    let _ = m.indicator(VarId(2), Dyadic::from_int(i + 100), Dyadic::ZERO);
-                }
-            }))
-            .unwrap_err();
-            assert!(
-                err.downcast_ref::<crate::budget::CapacityExceeded>()
-                    .is_some(),
-                "{:?} budget did not trip",
-                backend.kind()
-            );
-        }
-    }
-
-    #[test]
-    fn shared_managers_dedupe_against_each_other() {
-        let backend = Shared::new(None);
-        let cfg = DdConfig::default();
-        let mut a = backend.bdd_manager(4, &cfg);
-        let mut b = backend.bdd_manager(4, &cfg);
-        let xa = a.var(VarId(0));
-        let ya = a.var(VarId(1));
-        let fa = a.and(xa, ya);
-        let xb = b.var(VarId(0));
-        let yb = b.var(VarId(1));
-        let fb = b.and(xb, yb);
-        // Same function, different managers, one store: same handle.
-        assert_eq!(fa, fb);
-        assert_eq!(a.arena_size(), b.arena_size());
-    }
 }

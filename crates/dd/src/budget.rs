@@ -88,16 +88,6 @@ impl NodeBudget {
             }
         }
     }
-
-    /// Whether [`NodeBudget::charge`] would diverge at `current` — the
-    /// non-panicking form, for callers that must decide *before* taking a
-    /// lock (raising [`CapacityExceeded`] under a shared-table stripe mutex
-    /// would poison it for every other worker).
-    #[inline]
-    pub(crate) fn would_trip(&self, current: usize) -> bool {
-        self.limit
-            .is_some_and(|limit| current.saturating_sub(self.base) >= limit)
-    }
 }
 
 #[cfg(test)]

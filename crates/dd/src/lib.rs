@@ -21,15 +21,11 @@
 //! unique subtables and fixed direct-mapped lossy apply caches (see
 //! DESIGN.md §12 and the [`fasthash`] module docs).
 //!
-//! ## Backends
+//! ## Stores
 //!
-//! Since 0.3 a manager's node store is selected through the sealed
-//! [`backend::DdBackend`] factory trait: [`backend::Private`] (each manager
-//! owns its arena and caches — the default, and the only behaviour before
-//! 0.3) or [`backend::Shared`] (all managers created from one backend value
-//! intern into a single concurrent store, so scheduler workers reuse each
-//! other's nodes and apply results; DESIGN.md §14). The backend never
-//! changes results — only speed and memory.
+//! Every manager owns its node store outright: its arena, unique tables,
+//! terminal table and apply caches. Nothing is shared between managers, so
+//! the verifier's scheduler workers each build their own (DESIGN.md §14).
 //!
 //! ## Example
 //!
@@ -63,14 +59,12 @@ pub mod dot;
 pub mod dyadic;
 pub mod fasthash;
 pub mod reorder;
-mod shared;
 pub mod spectral;
 mod table;
 pub mod threshold;
 pub mod var;
 
 pub use add::{Add, AddManager};
-pub use backend::{Backend, DdBackend, DdConfig, Private, Shared};
 pub use bdd::{Bdd, BddManager};
 pub use budget::CapacityExceeded;
 pub use dyadic::Dyadic;
@@ -78,20 +72,18 @@ pub use fasthash::{FastHasher, FastMap, FastSet};
 pub use var::{VarId, VarSet};
 
 /// The minimal import surface for typical consumers: handle types, the two
-/// managers, backend selection, and the arithmetic/variable vocabulary.
+/// managers, and the arithmetic/variable vocabulary.
 ///
 /// ```
 /// use walshcheck_dd::prelude::*;
 ///
-/// let backend: Box<dyn DdBackend> = walshcheck_dd::backend::runtime(Backend::Private, None);
-/// let mut m = backend.bdd_manager(2, &DdConfig::default());
+/// let mut m = BddManager::new(2);
 /// let x = m.var(VarId(0));
 /// let y = m.var(VarId(1));
 /// assert_ne!(m.and(x, y), Bdd::FALSE);
 /// ```
 pub mod prelude {
     pub use crate::add::{Add, AddManager};
-    pub use crate::backend::{Backend, DdBackend, DdConfig, Private, Shared};
     pub use crate::bdd::{Bdd, BddManager};
     pub use crate::budget::CapacityExceeded;
     pub use crate::dyadic::Dyadic;

@@ -138,7 +138,7 @@ impl Subtable {
 ///
 /// Rounding *down* keeps the fixed slab within the byte budget the caller
 /// derived the limit from.
-pub(crate) fn slots_for(limit: usize) -> usize {
+fn slots_for(limit: usize) -> usize {
     let limit = limit.max(MIN_SUBTABLE_SLOTS);
     if limit.is_power_of_two() {
         limit
@@ -165,7 +165,7 @@ const BIN_VACANT: BinEntry = BinEntry {
 };
 
 /// Bytes per [`BinaryApplyCache`] entry (used for byte accounting).
-pub(crate) const BINARY_ENTRY_BYTES: usize = std::mem::size_of::<BinEntry>();
+const BINARY_ENTRY_BYTES: usize = std::mem::size_of::<BinEntry>();
 
 /// Smallest slab a lossy cache materializes on first use.
 const INITIAL_CACHE_SLOTS: usize = 1 << 10;
@@ -283,7 +283,7 @@ const UN_VACANT: UnEntry = UnEntry {
 };
 
 /// Bytes per [`UnaryApplyCache`] entry (used for byte accounting).
-pub(crate) const UNARY_ENTRY_BYTES: usize = std::mem::size_of::<UnEntry>();
+const UNARY_ENTRY_BYTES: usize = std::mem::size_of::<UnEntry>();
 
 /// Direct-mapped lossy cache for unary `apply` results (lazily grown slab,
 /// see [`BinaryApplyCache`]).
